@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -244,6 +244,11 @@ class QueryEngine:
         """Content fingerprint of the current hypergraph (the cache-key prefix)."""
         return self._h.fingerprint()
 
+    @property
+    def generation(self) -> int:
+        """Snapshot generation served (0 in memory; stores bump it on compaction)."""
+        return 0
+
     def stats(self) -> QueryStats:
         """Snapshot of cache and maintenance counters."""
         cache = self._cache.counters()  # one lock hold: consistent split
@@ -326,9 +331,41 @@ class QueryEngine:
         """A metric keyed by *original* hyperedge IDs."""
         values = self.metric(s, name)
         _, mapping = self.squeezed_graph(s)
-        return {
-            int(mapping.new_to_old[i]): float(v) for i, v in enumerate(values)
-        }
+        # tolist() yields Python ints/floats in one C pass; the float cast
+        # keeps integer-valued metrics (component labels) float-typed.
+        return dict(
+            zip(
+                mapping.new_to_old.tolist(),
+                values.astype(np.float64, copy=False).tolist(),
+            )
+        )
+
+    def rendered_metric(
+        self,
+        s: int,
+        name: str,
+        form: Hashable,
+        render: Callable[["QueryEngine"], Tuple[Any, bool]],
+    ) -> Any:
+        """A rendering of metric ``name`` of ``L_s``, cached beside the metric.
+
+        The service caches encoded response frames here.  The key is
+        ``(fingerprint, s, (name, form, generation))``: ``form`` names the
+        rendering, and the generation is part of it because a rendering may
+        embed it (compaction bumps the generation, never the fingerprint).
+        Sharing the fingerprint and ``s`` with the metric's own entry lets
+        :meth:`_migrate_cache` retain or drop both together, and eviction
+        stays one LRU policy.  On a miss ``render(self)`` runs against this
+        engine and returns ``(rendering, cacheable)``.
+        """
+        key = self._key(s, (name, form, self.generation))
+        cached = self._cache.get(key)
+        if cached is not None:
+            return cached
+        rendering, cacheable = render(self)
+        if cacheable:
+            self._cache.put(key, rendering)
+        return rendering
 
     def metrics(self, s: int, names: Sequence[str]) -> Dict[str, np.ndarray]:
         """Several metrics of the same s, sharing one squeeze."""

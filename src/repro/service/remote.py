@@ -323,6 +323,9 @@ class RemoteReadReplica:
     def metric_by_hyperedge(self, s: int, name: str) -> Dict[int, float]:
         return self._serve("metric_by_hyperedge", s, name)
 
+    def rendered_metric(self, s: int, name: str, form, render):
+        return self._serve("rendered_metric", s, name, form, render)
+
     def metrics(self, s: int, names: Sequence[str]) -> Dict[str, np.ndarray]:
         return self._serve("metrics", s, names)
 

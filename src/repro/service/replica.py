@@ -195,7 +195,7 @@ class ReadReplica:
     def generation(self) -> int:
         """Snapshot generation of the currently served view."""
         with self._swap_lock:
-            return self._engine.store.manifest.generation
+            return self._engine.generation
 
     @property
     def engine(self) -> PersistentQueryEngine:
@@ -224,6 +224,9 @@ class ReadReplica:
 
     def metric_by_hyperedge(self, s: int, name: str) -> Dict[int, float]:
         return self._serve("metric_by_hyperedge", s, name)
+
+    def rendered_metric(self, s: int, name: str, form, render):
+        return self._serve("rendered_metric", s, name, form, render)
 
     def metrics(self, s: int, names: Sequence[str]) -> Dict[str, np.ndarray]:
         return self._serve("metrics", s, names)

@@ -23,7 +23,19 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from typing import Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -45,6 +57,40 @@ from repro.utils.validation import ValidationError
 
 #: A serving request: ``{"op": ..., ...}`` (see :meth:`QueryService.serve`).
 Request = Mapping[str, object]
+
+#: Request key under which a transport hands :meth:`QueryService.execute`
+#: the :class:`FrameEncoding` of the connection the request came in on.
+FRAME_ENCODING = "frame_encoding"
+
+
+@dataclass(frozen=True)
+class FrameEncoding:
+    """How one transport connection encodes responses into frames.
+
+    With one under the request's :data:`FRAME_ENCODING` key, a ``metric``
+    request is answered with an :class:`EncodedResponse` whose frame was
+    encoded once and kept in the engine cache.  ``name`` keys the cached
+    frames (the transport passes protocol and codec); ``encode`` returns
+    the frame bytes, or ``None`` when the response exceeds the frame cap.
+    """
+
+    name: Hashable
+    encode: Callable[[Dict[str, object]], Optional[bytes]]
+
+
+class EncodedResponse(dict):
+    """A response served as an already-encoded frame.
+
+    The mapping holds the response's header fields (everything but its
+    bulk values); :attr:`frame` is the whole response, ready to send.
+    Instances are shared through the engine cache: treat them as read-only.
+    """
+
+    __slots__ = ("frame",)
+
+    def __init__(self, header: Mapping[str, object], frame: bytes) -> None:
+        super().__init__(header)
+        self.frame = frame
 
 
 class QueryService:
@@ -236,7 +282,7 @@ class QueryService:
         """Snapshot generation of the served view."""
         if self._replica is not None:
             return self._replica.generation
-        return self._engine.store.manifest.generation
+        return self._engine.generation
 
     def stats(self) -> Dict[str, object]:
         """Engine + admission counters (the ``stats`` request payload).
@@ -325,7 +371,7 @@ class QueryService:
             first = args[0]
             if isinstance(first, (int, np.integer)):
                 entry["s"] = int(first)
-        if method in ("metric", "metric_by_hyperedge") and len(args) > 1:
+        if method in ("metric", "metric_by_hyperedge", "rendered_metric") and len(args) > 1:
             entry["metric"] = str(args[1])
         metrics = kwargs.get("metrics")
         if metrics:
@@ -342,6 +388,29 @@ class QueryService:
 
     def metric_by_hyperedge(self, s: int, name: str) -> Dict[int, float]:
         return self._query("metric_by_hyperedge", s, name)
+
+    def _metric_frame(
+        self, s: int, name: str, columns: bool, encoding: FrameEncoding
+    ) -> Dict[str, object]:
+        """A ``metric`` response encoded once per engine snapshot.
+
+        Lookup, compute-on-miss and insert run against one engine snapshot
+        (:meth:`QueryEngine.rendered_metric` through :meth:`_query`: one
+        read-lock hold on the writer, one captured engine on a replica), so
+        a frame is never keyed by a newer state than it was built from.  A
+        response over the frame cap comes back as a plain, uncached one.
+        """
+
+        def render(engine: QueryEngine) -> Tuple[Dict[str, object], bool]:
+            values = engine.metric_by_hyperedge(s, name)
+            response = _render_metric(values, s, name, columns, engine.generation)
+            frame = encoding.encode(response)
+            if frame is None:
+                return response, False
+            header = {k: v for k, v in response.items() if k not in _BULK_FIELDS}
+            return EncodedResponse(header, frame), True
+
+        return self._query("rendered_metric", s, name, (columns, encoding.name), render)
 
     def line_graph(self, s: int):
         return self._query("line_graph", s)
@@ -466,28 +535,12 @@ class QueryService:
                 raise ValidationError(
                     f"unknown metric {name!r}; available: {sorted(METRIC_FUNCTIONS)}"
                 )
+            columns = bool(request.get("columns"))
+            encoding = request.get(FRAME_ENCODING)
+            if isinstance(encoding, FrameEncoding):
+                return self._metric_frame(s, name, columns, encoding)
             values = self.metric_by_hyperedge(s, name)
-            base = {
-                "ok": True,
-                "op": op,
-                "s": s,
-                "metric": name,
-                "generation": self.generation,
-            }
-            if request.get("columns"):
-                # Columnar fast path (binary data plane): parallel sorted
-                # int64/float64 arrays instead of a str-keyed JSON object.
-                # Sections like these only survive a protocol >= 2
-                # connection; the transport enforces that.
-                ids = np.fromiter(values.keys(), dtype=np.int64, count=len(values))
-                vals = np.fromiter(values.values(), dtype=np.float64, count=len(values))
-                order = np.argsort(ids, kind="stable")
-                base["columns"] = True
-                base["edge_ids"] = ids[order]
-                base["values"] = vals[order]
-                return base
-            base["values"] = {str(k): float(v) for k, v in sorted(values.items())}
-            return base
+            return _render_metric(values, s, name, columns, self.generation)
         if op == "components":
             s = int(request["s"])
             return {"ok": True, "op": op, "s": s, "count": self.num_components(s)}
@@ -708,3 +761,31 @@ class QueryService:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         mode = "read-only" if self.read_only else "writer"
         return f"QueryService(path={self.path!r}, {mode})"
+
+
+#: Response fields an :class:`EncodedResponse` keeps only in its frame.
+_BULK_FIELDS = ("edge_ids", "values")
+
+
+def _render_metric(
+    values: Dict[int, float], s: int, name: str, columns: bool, generation: int
+) -> Dict[str, object]:
+    """The ``metric`` response for values keyed by ascending hyperedge ID."""
+    response: Dict[str, object] = {
+        "ok": True,
+        "op": "metric",
+        "s": s,
+        "metric": name,
+        "generation": generation,
+    }
+    if columns:
+        # Columnar fast path (binary data plane): parallel int64/float64
+        # arrays instead of a str-keyed JSON object.  Sections like these
+        # only survive a protocol >= 2 connection; the transport enforces
+        # that.
+        response["columns"] = True
+        response["edge_ids"] = np.fromiter(values.keys(), dtype=np.int64, count=len(values))
+        response["values"] = np.fromiter(values.values(), dtype=np.float64, count=len(values))
+        return response
+    response["values"] = {str(k): v for k, v in values.items()}
+    return response

@@ -32,11 +32,17 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.chaos.failpoints import fire as _failpoint
 from repro.obs import get_registry, get_tracer
-from repro.service.service import QueryService
+from repro.service.service import (
+    FRAME_ENCODING,
+    EncodedResponse,
+    FrameEncoding,
+    QueryService,
+)
 from repro.service.transport.framing import (
     DEFAULT_MAX_FRAME_BYTES,
     E_BAD_FRAME,
@@ -47,6 +53,7 @@ from repro.service.transport.framing import (
     E_READ_ONLY,
     E_STALE,
     E_UNAVAILABLE,
+    LENGTH_PREFIX,
     PROTOCOL_VERSION,
     PROTOCOL_VERSION_BINARY,
     SUPPORTED_PROTOCOLS,
@@ -437,6 +444,11 @@ class SocketServer:
         self, conn: socket.socket, proto: int = PROTOCOL_VERSION, codec: Optional[str] = None
     ) -> None:
         """Answer frames in order until EOF, ``goodbye`` or shutdown."""
+        # Handed to the service with every request, so `metric` answers
+        # come back as frames encoded once per engine snapshot.
+        encoding = FrameEncoding(
+            (proto, codec), partial(self._encode_within_cap, proto=proto, codec=codec)
+        )
         while not self._stop.is_set():
             try:
                 request = self._read_frame(conn)
@@ -457,69 +469,92 @@ class SocketServer:
             try:
                 # The server span is the sampling point of every trace (or
                 # joins the caller's via the optional `trace` field, which
-                # pre-tracing clients simply never send).
+                # pre-tracing clients simply never send).  It covers
+                # execute, encode and the send failpoint; it ends just
+                # before the write, because a client holding the response
+                # must find the trace finished.  The latency histogram
+                # also covers the write.
                 with self._tracer.start_request(
                     f"server.{op or 'unknown'}",
                     remote=request.get("trace"),
                     attributes={"op": op},
                 ) as span:
-                    if proto < PROTOCOL_VERSION_BINARY and _request_needs_v2(request):
-                        response = {
-                            "ok": False,
-                            "op": op,
-                            "code": E_BAD_REQUEST,
-                            "error": (
-                                "'columns'/'raw' responses need a binary data "
-                                f"plane; this connection negotiated protocol {proto}"
-                            ),
-                        }
-                    elif op == "batch":
-                        response = self._serve_batch(request)
-                    else:
-                        response = classify_error(self.service.execute(request))
-                        if op == "stats" and response.get("ok"):
-                            stats_obj = response.get("stats")
-                            if isinstance(stats_obj, dict):
-                                stats_obj["transport"] = self._transport_stats(
-                                    proto, codec
-                                )
+                    response = self._respond(request, op, proto, codec, encoding)
                     if not response.get("ok"):
-                        span.set_status(
-                            "error", str(response.get("code", E_INTERNAL))
-                        )
+                        code = str(response.get("code", E_INTERNAL))
+                        span.set_status("error", code)
+                        self._m_errors.labels(
+                            op=op if op in self._m_latency else "other", code=code
+                        ).inc()
+                    with self._stats_lock:
+                        self.stats.requests_served += 1
+                    frame = self._response_frame(op, response, proto, codec)
+                self._write(conn, frame)
             finally:
                 latency.observe(time.perf_counter() - start)
                 self._m_inflight.dec()
-            if not response.get("ok"):
-                self._m_errors.labels(
-                    op=op if op in self._m_latency else "other",
-                    code=str(response.get("code", E_INTERNAL)),
-                ).inc()
-            with self._stats_lock:
-                self.stats.requests_served += 1
-            try:
-                self._send(conn, response, proto=proto, codec=codec)
-            except FrameTooLargeError as exc:
-                # The *response* blew the frame cap (e.g. a metric map over
-                # a huge store).  Answer with a small error frame instead of
-                # dropping the connection — pairing is preserved, the client
-                # learns why, and an idempotent retry of the same doomed
-                # query is avoided.
-                self._send(
-                    conn,
-                    {
-                        "ok": False,
-                        "op": str(request.get("op", "")),
-                        "code": E_BAD_FRAME,
-                        "error": f"response exceeds the frame cap: {exc}",
-                    },
-                )
         # Shutting down: drain frames the client already pipelined with a
         # typed `unavailable` answer each, then end the stream.  Every
         # response pairs with a frame the peer actually sent, so pipelining
         # stays aligned — but the peer learns *why* instead of reading a
         # bare EOF, and can route the retry to another replica.
         self._drain_on_shutdown(conn)
+
+    def _respond(
+        self,
+        request: Dict[str, object],
+        op: str,
+        proto: int,
+        codec: Optional[str],
+        encoding: FrameEncoding,
+    ) -> Dict[str, object]:
+        """The response to one request frame (never raises)."""
+        if proto < PROTOCOL_VERSION_BINARY and _request_needs_v2(request):
+            return {
+                "ok": False,
+                "op": op,
+                "code": E_BAD_REQUEST,
+                "error": (
+                    "'columns'/'raw' responses need a binary data "
+                    f"plane; this connection negotiated protocol {proto}"
+                ),
+            }
+        if op == "batch":
+            return self._serve_batch(request)
+        request[FRAME_ENCODING] = encoding
+        response = classify_error(self.service.execute(request))
+        if op == "stats" and response.get("ok"):
+            stats_obj = response.get("stats")
+            if isinstance(stats_obj, dict):
+                stats_obj["transport"] = self._transport_stats(proto, codec)
+        return response
+
+    def _response_frame(
+        self, op: str, response: Dict[str, object], proto: int, codec: Optional[str]
+    ) -> bytes:
+        """The frame answering one request, past the ``transport.send`` failpoint."""
+        # Chaos: fired before the frame hits the wire, so a `drop` models a
+        # response lost in transit — the request WAS executed (an acked
+        # update is durable even though the client never saw the ack).
+        _failpoint("transport.send")
+        try:
+            return self._encode(response, proto, codec)
+        except FrameTooLargeError as exc:
+            # The *response* blew the frame cap (e.g. a metric map over a
+            # huge store).  Answer with a small error frame instead of
+            # dropping the connection — pairing is preserved, the client
+            # learns why, and an idempotent retry of the same doomed query
+            # is avoided.
+            return self._encode(
+                {
+                    "ok": False,
+                    "op": op,
+                    "code": E_BAD_FRAME,
+                    "error": f"response exceeds the frame cap: {exc}",
+                },
+                PROTOCOL_VERSION,
+                None,
+            )
 
     def _drain_on_shutdown(self, conn: socket.socket) -> None:
         """Answer already-pipelined frames with ``E_UNAVAILABLE``, bounded.
@@ -634,21 +669,40 @@ class SocketServer:
             },
         }
 
-    def _send(
-        self,
-        conn: socket.socket,
-        payload: Dict[str, object],
-        proto: int = PROTOCOL_VERSION,
-        codec: Optional[str] = None,
-    ) -> None:
-        # Chaos: fired before the frame hits the wire, so a `drop` models a
-        # response lost in transit — the request WAS executed (an acked
-        # update is durable even though the client never saw the ack).
-        _failpoint("transport.send")
+    def _encode(self, payload: Dict[str, object], proto: int, codec: Optional[str]) -> bytes:
+        """One response frame, under the frame cap (``FrameTooLargeError``).
+
+        An :class:`EncodedResponse` already is its frame; the cap is still
+        checked, since a cached frame may have been encoded for a server
+        with a larger one.
+        """
+        if isinstance(payload, EncodedResponse):
+            body_len = len(payload.frame) - LENGTH_PREFIX.size
+            if body_len > self.max_frame_bytes:
+                raise FrameTooLargeError(
+                    f"frame of {body_len} bytes exceeds the "
+                    f"{self.max_frame_bytes}-byte cap"
+                )
+            return payload.frame
         if proto >= PROTOCOL_VERSION_BINARY and payload_has_sections(payload):
-            frame = encode_binary_frame(payload, self.max_frame_bytes, codec=codec)
-        else:
-            frame = encode_frame(payload, self.max_frame_bytes)
+            return encode_binary_frame(payload, self.max_frame_bytes, codec=codec)
+        return encode_frame(payload, self.max_frame_bytes)
+
+    def _encode_within_cap(
+        self, payload: Dict[str, object], proto: int, codec: Optional[str]
+    ) -> Optional[bytes]:
+        """:meth:`_encode`, or ``None`` when the frame would exceed the cap."""
+        try:
+            return self._encode(payload, proto, codec)
+        except FrameTooLargeError:
+            return None  # the send re-encodes it and answers bad_frame
+
+    def _send(self, conn: socket.socket, payload: Dict[str, object]) -> None:
+        """Send one JSON frame outside the request path (handshake, refusals)."""
+        _failpoint("transport.send")
+        self._write(conn, self._encode(payload, PROTOCOL_VERSION, None))
+
+    def _write(self, conn: socket.socket, frame: bytes) -> None:
         conn.settimeout(_SEND_TIMEOUT)
         try:
             conn.sendall(frame)

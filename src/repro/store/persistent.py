@@ -63,6 +63,11 @@ class PersistentQueryEngine(QueryEngine):
         self.sharded = bool(sharded)
         self._max_resident_shards = max_resident_shards
 
+    @property
+    def generation(self) -> int:
+        """Snapshot generation of the store state this engine serves."""
+        return self.store.manifest.generation
+
     # ------------------------------------------------------------------ #
     # Constructors
     # ------------------------------------------------------------------ #

@@ -48,6 +48,19 @@ class TestQueries:
             result.metric_by_hyperedge("pagerank")
         )
 
+    @pytest.mark.parametrize("name", ["connected_components", "pagerank"])
+    def test_metric_by_hyperedge_is_ascending_and_float(self, random_h, name):
+        # The service renders responses straight from this order (its
+        # columns are not re-sorted), so the order is part of the contract.
+        engine = QueryEngine(random_h)
+        for s in range(1, 5):
+            values = engine.metric_by_hyperedge(s, name)
+            keys = list(values)
+            assert keys == sorted(keys)
+            assert all(type(k) is int for k in keys)
+            assert all(type(v) is float for v in values.values())
+        assert engine.metric_by_hyperedge(1, name)  # not vacuously sorted
+
     def test_metrics_share_one_squeeze(self, engine):
         engine.metrics(2, ("connected_components", "lpcc", "pagerank"))
         keys = engine._cache.keys()
