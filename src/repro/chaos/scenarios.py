@@ -213,6 +213,13 @@ def scenario_partition_replica(h: ChaosHarness, quick: bool) -> ScenarioResult:
     partition_at = time.monotonic()
     h.chaos(w_client, "activate", point="repl.manifest", action="error")
     h.submit_updates(w_client, updates)
+    # The WAL lag shows only until the compaction below starts the writer
+    # on a new, empty WAL, and the replica reads the writer's token once
+    # per poll: wait until the gauge has been seen up before compacting.
+    wait_until(
+        lambda: any(s[2] > 0.0 for s in sampler.window(partition_at)),
+        description="wal-lag gauge > 0 during partition",
+    )
     w_client.compact()  # bumps the writer generation: generation lag >= 1
     h.await_unready(r_url)
     status, payload = probe(r_url, "/readyz")

@@ -20,7 +20,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import sparse
 
-from repro.hypergraph.preprocessing import SqueezeResult, squeeze_ids
+from repro.graph.graph import pairs_ascend
+from repro.hypergraph.preprocessing import SqueezeResult, squeeze_ids, unique_ids
 from repro.utils.validation import ValidationError, check_array_int, check_s_value
 
 
@@ -44,6 +45,9 @@ def _normalise_edges(
     hi = np.maximum(arr[:, 0], arr[:, 1])
     if np.any(lo == hi):
         raise ValidationError("self-loops are not allowed in an s-line graph")
+    if pairs_ascend(lo, hi):
+        # Already canonical (a squeezed copy keeps its source's order).
+        return np.column_stack([lo, hi]), w.copy()
     order = np.lexsort((hi, lo))
     lo, hi, w = lo[order], hi[order], w[order]
     keep = np.ones(lo.size, dtype=bool)
@@ -91,12 +95,14 @@ class SLineGraph:
         self.edges, self.weights = _normalise_edges(self.edges, self.weights)
         if self.num_hyperedges < 0:
             raise ValidationError("num_hyperedges must be non-negative")
+        if self.edges.size and int(self.edges.min()) < 0:
+            raise ValidationError("edge endpoints must be non-negative")
         if self.edges.size and int(self.edges.max()) >= self.num_hyperedges:
             raise ValidationError("edge endpoint exceeds num_hyperedges")
         if self.weights.size and int(self.weights.min()) < self.s:
             raise ValidationError("all edge weights must be >= s")
         if self.active_vertices is not None:
-            self.active_vertices = np.unique(
+            self.active_vertices = unique_ids(
                 check_array_int(self.active_vertices, "active_vertices")
             )
 
@@ -143,7 +149,10 @@ class SLineGraph:
         """Hyperedge IDs that appear as endpoints of at least one edge."""
         if self.num_edges == 0:
             return np.empty(0, dtype=np.int64)
-        return np.unique(self.edges.ravel())
+        # A presence mask over the ID space: one linear pass, no sort.
+        present = np.zeros(self.num_hyperedges, dtype=bool)
+        present[self.edges.ravel()] = True
+        return np.flatnonzero(present).astype(np.int64, copy=False)
 
     @property
     def num_active_vertices(self) -> int:
@@ -193,9 +202,7 @@ class SLineGraph:
             id_pool = np.union1d(self.vertex_ids, self.active_vertices)
         else:
             id_pool = self.vertex_ids
-        squeezer = squeeze_ids(id_pool) if id_pool.size else SqueezeResult(
-            new_to_old=np.empty(0, dtype=np.int64), old_to_new={}
-        )
+        squeezer = squeeze_ids(id_pool)
         if self.num_edges:
             lookup = np.full(self.num_hyperedges, -1, dtype=np.int64)
             lookup[squeezer.new_to_old] = np.arange(squeezer.num_ids, dtype=np.int64)
@@ -205,7 +212,7 @@ class SLineGraph:
         squeezed = SLineGraph(
             s=self.s,
             edges=new_edges,
-            weights=self.weights.copy(),
+            weights=self.weights,
             num_hyperedges=max(squeezer.num_ids, 1) if squeezer.num_ids else 0,
             active_vertices=np.arange(squeezer.num_ids, dtype=np.int64),
         )

@@ -15,8 +15,10 @@ of the index — avoiding the wedge-enumeration pass that dominates a rebuild
 hyperedge of size ``k`` can never appear in — nor contribute a pair to —
 any ``L_s`` with ``s > k``, so those entries are re-keyed to the new
 fingerprint instead of being recomputed.  (Refreshing the immutable
-:class:`Hypergraph` and its fingerprint is still one vectorised O(|H|)
-pass per update; only the overlap *counting* is incremental.)
+:class:`Hypergraph` and its fingerprint still costs linear passes over
+all of ``H`` per update: array copies, plus a check that every row
+ascends, which lets the fingerprint skip its row-wise sort; only the
+overlap *counting* is incremental.)
 """
 
 from __future__ import annotations

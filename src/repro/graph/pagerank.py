@@ -51,8 +51,8 @@ def pagerank(
     dangling = out_weight == 0
     inv_out = np.zeros(n, dtype=np.float64)
     inv_out[~dangling] = 1.0 / out_weight[~dangling]
-    # Row-stochastic transition matrix (transposed application below).
-    transition = adjacency.multiply(inv_out[:, None]).tocsr()
+    # Row-stochastic transition matrix, transposed once for the iteration.
+    transition_t = adjacency.multiply(inv_out[:, None]).tocsr().T
 
     if personalization is None:
         restart = np.full(n, 1.0 / n, dtype=np.float64)
@@ -69,7 +69,7 @@ def pagerank(
     for _ in range(max_iter):
         dangling_mass = rank[dangling].sum()
         new_rank = (
-            damping * (transition.T @ rank + dangling_mass * restart)
+            damping * (transition_t @ rank + dangling_mass * restart)
             + (1.0 - damping) * restart
         )
         err = np.abs(new_rank - rank).sum()

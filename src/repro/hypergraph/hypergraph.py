@@ -221,20 +221,25 @@ class Hypergraph:
         every s-line-graph computation depends on.  Used as the cache key of
         :class:`repro.engine.QueryEngine`.  The digest is computed once and
         memoised (instances are immutable by convention).
+
+        Rows are usually stored ascending already (``add_hyperedge`` and the
+        CSR builders sort members), so the row-wise sort runs only when a
+        one-pass check finds a row that does not ascend; either way the
+        hashed bytes are the same.
         """
         if self._fingerprint is None:
             edges = self._edges
-            row_ids = np.repeat(
-                np.arange(edges.num_rows, dtype=np.int64), edges.row_degrees()
-            )
-            order = np.lexsort((edges.indices, row_ids))
+            indices = np.ascontiguousarray(edges.indices, dtype=np.int64)
+            if not _rows_ascend(edges.indptr, indices):
+                row_ids = np.repeat(
+                    np.arange(edges.num_rows, dtype=np.int64), edges.row_degrees()
+                )
+                indices = indices[np.lexsort((indices, row_ids))]
             hasher = hashlib.sha256()
             hasher.update(np.int64(edges.num_rows).tobytes())
             hasher.update(np.int64(edges.num_cols).tobytes())
             hasher.update(np.ascontiguousarray(edges.indptr, dtype=np.int64).tobytes())
-            hasher.update(
-                np.ascontiguousarray(edges.indices[order], dtype=np.int64).tobytes()
-            )
+            hasher.update(indices.tobytes())
             self._fingerprint = hasher.hexdigest()
         return self._fingerprint
 
@@ -289,3 +294,12 @@ class Hypergraph:
             f"Hypergraph(num_vertices={self.num_vertices}, "
             f"num_edges={self.num_edges}, num_incidences={self.num_incidences})"
         )
+
+
+def _rows_ascend(indptr: np.ndarray, indices: np.ndarray) -> bool:
+    """Whether the columns are non-decreasing within every CSR row."""
+    descents = indices[1:] < indices[:-1]
+    # A descent across a row boundary is allowed: the next row starts over.
+    starts = indptr[1:-1]
+    descents[starts[(starts > 0) & (starts < indices.size)] - 1] = False
+    return not descents.any()

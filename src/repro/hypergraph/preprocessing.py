@@ -12,7 +12,7 @@ s-line graph to a contiguous range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Literal, Optional, Sequence, Tuple
+from typing import Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,10 +52,13 @@ class RelabelResult:
 
 @dataclass
 class SqueezeResult:
-    """Outcome of squeezing a sparse ID space to a contiguous range."""
+    """Outcome of squeezing a sparse ID space to a contiguous range.
+
+    ``new_to_old`` is ascending, so it is its own inverse index: the
+    squeezed ID of an original ID is its position in that array.
+    """
 
     new_to_old: np.ndarray
-    old_to_new: Dict[int, int]
 
     @property
     def num_ids(self) -> int:
@@ -68,7 +71,11 @@ class SqueezeResult:
 
     def to_squeezed(self, old_id: int) -> int:
         """Squeezed ID for an original ID (KeyError if the ID was dropped)."""
-        return self.old_to_new[int(old_id)]
+        old_id = int(old_id)
+        pos = int(np.searchsorted(self.new_to_old, old_id))
+        if pos == self.new_to_old.size or self.new_to_old[pos] != old_id:
+            raise KeyError(old_id)
+        return pos
 
 
 @dataclass
@@ -169,10 +176,16 @@ def squeeze_ids(ids: Sequence[int] | np.ndarray) -> SqueezeResult:
     graph usually uses only a small subset of the hyperedge-ID space, so IDs
     are compacted before building adjacency structures.
     """
-    arr = check_array_int(np.asarray(ids).ravel(), "ids")
-    unique = np.unique(arr)
-    old_to_new = {int(v): i for i, v in enumerate(unique)}
-    return SqueezeResult(new_to_old=unique.astype(np.int64), old_to_new=old_to_new)
+    return SqueezeResult(
+        new_to_old=unique_ids(check_array_int(np.asarray(ids).ravel(), "ids"))
+    )
+
+
+def unique_ids(arr: np.ndarray) -> np.ndarray:
+    """``np.unique(arr)`` as a new array; no sort when ``arr`` ascends strictly."""
+    if np.all(arr[1:] > arr[:-1]):
+        return arr.copy()
+    return np.unique(arr)
 
 
 def preprocess(

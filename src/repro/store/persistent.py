@@ -169,17 +169,18 @@ class PersistentQueryEngine(QueryEngine):
     def compact(self, num_shards: Optional[int] = None) -> None:
         """Fold the WAL into a fresh snapshot generation.
 
-        The served index is re-opened against the new generation —
-        compaction sweeps the old generation's shard files, so a sharded
-        (mmap-streaming) index must not keep referencing them.  Cached
-        query results stay valid: compaction changes the representation,
-        never the logical state (the fingerprint is unchanged).
+        The new generation is written from the index and hypergraph this
+        engine already serves, not rebuilt from disk.  A sharded
+        (mmap-streaming) index is then re-opened against the new
+        generation — compaction sweeps the old generation's shard files,
+        so it must not keep referencing them; a materialised index already
+        holds the compacted state.  Cached query results stay valid:
+        compaction changes the representation, never the logical state
+        (the fingerprint is unchanged).
         """
         self.store.check_writable()
-        self.store.compact(num_shards=num_shards)
+        self.store.compact(num_shards=num_shards, index=self._index, hypergraph=self._h)
         if self.sharded:
             self._index = self.store.sharded_index(
                 max_resident_shards=self._max_resident_shards
             )
-        else:
-            self._index = self.store.load_index()

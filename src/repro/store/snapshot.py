@@ -44,8 +44,10 @@ def write_snapshot(
 ) -> Manifest:
     """Serialise ``index`` as a sharded snapshot under ``store_path``.
 
-    The hyperedge-ID space is split into ``num_shards`` contiguous row
-    blocks; pair ``(i, j)`` (``i < j``) goes to the block owning ``i``.
+    ``index`` is an :class:`OverlapIndex` or a
+    :class:`~repro.store.ShardedIndex`.  The hyperedge-ID space is split
+    into ``num_shards`` contiguous row blocks; pair ``(i, j)`` (``i < j``)
+    goes to the block owning ``i``.
     Slicing the weight-ascending pair store by a row mask preserves the
     ascending order, so every shard keeps the binary-search invariant for
     free.  Shard files are named by ``generation`` so a compaction can lay
@@ -58,6 +60,12 @@ def write_snapshot(
     os.makedirs(shard_dir, exist_ok=True)
 
     edges, weights = index.pairs_at_least(1)
+    if np.any(weights[1:] < weights[:-1]):
+        # A shard-streaming index lists its pairs shard by shard, then its
+        # WAL overlay: ascending runs, which a stable merge sort joins in
+        # near-linear time.  A materialised index is already ascending.
+        order = np.argsort(weights, kind="stable")
+        edges, weights = edges[order], weights[order]
     rows = edges[:, 0] if edges.size else np.empty(0, dtype=np.int64)
     blocks = blocked_partitions(index.num_hyperedges, num_shards)
 

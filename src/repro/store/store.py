@@ -323,6 +323,11 @@ class IndexStore:
             else:
                 index.remove_hyperedge(record.edge_id)
 
+    def _expected_num_hyperedges(self) -> int:
+        """Hyperedge-ID space of the current state (removals keep their IDs)."""
+        adds = sum(1 for record in self._records if record.op == OP_ADD)
+        return self._manifest.num_hyperedges + adds
+
     def load_index(self) -> OverlapIndex:
         """The current index fully materialised in memory."""
         index = materialize_index(self.path, self._manifest)
@@ -447,8 +452,20 @@ class IndexStore:
     # ------------------------------------------------------------------ #
     # Compaction
     # ------------------------------------------------------------------ #
-    def compact(self, num_shards: Optional[int] = None) -> Manifest:
+    def compact(
+        self,
+        num_shards: Optional[int] = None,
+        index=None,
+        hypergraph: Optional[Hypergraph] = None,
+    ) -> Manifest:
         """Fold the WAL into a fresh snapshot generation and truncate it.
+
+        A writer that already holds the current state in memory passes it
+        as ``index`` (an :class:`OverlapIndex` or :class:`ShardedIndex`
+        with the WAL applied) and ``hypergraph``; otherwise both are
+        rebuilt from the snapshot plus the replayed WAL.  A supplied
+        hypergraph is used only when its fingerprint is the store's
+        current one.
 
         Crash-safe ordering: (1) the updated hypergraph is atomically
         swapped in — if the process dies after this, the old manifest plus
@@ -464,15 +481,25 @@ class IndexStore:
         old_manifest = self._manifest
         if num_shards is None:
             num_shards = max(1, len(old_manifest.shards))
-        index = self.load_index()
+        if index is None:
+            index = self.load_index()
+        elif index.num_hyperedges != self._expected_num_hyperedges():
+            raise StoreError(
+                f"compaction of {self.path} was handed an index over "
+                f"{index.num_hyperedges} hyperedges; the store holds "
+                f"{self._expected_num_hyperedges()}"
+            )
         # Chaos: a fault here models a crash during the fold, before any
         # on-disk state of the new generation exists.
         _failpoint("store.compact.fold")
-        fingerprint = self.current_fingerprint() or old_manifest.fingerprint
-        hypergraph = None
+        current = self.current_fingerprint()
+        fingerprint = current or old_manifest.fingerprint
         if os.path.isfile(os.path.join(self.path, HYPERGRAPH_NAME)):
-            hypergraph = self.load_hypergraph()
+            if hypergraph is None or current is None or hypergraph.fingerprint() != current:
+                hypergraph = self.load_hypergraph()
             fingerprint = hypergraph.fingerprint()
+        else:
+            hypergraph = None
         provenance = dict(old_manifest.provenance)
         provenance["compacted_from_generation"] = old_manifest.generation
         provenance["compacted_wal_records"] = self.num_wal_records()

@@ -47,6 +47,10 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             make_graph(edges=((0, 9, 2),), num_hyperedges=5)
 
+    def test_negative_endpoint_rejected(self):
+        with pytest.raises(ValidationError):
+            make_graph(edges=((-1, 2, 2),), num_hyperedges=5)
+
     def test_invalid_s(self):
         with pytest.raises(ValidationError):
             make_graph(s=0)

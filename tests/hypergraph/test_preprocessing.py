@@ -104,6 +104,21 @@ class TestSqueezeIds:
         with pytest.raises(KeyError):
             result.to_squeezed(6)
 
+    def test_dropped_id_raises(self):
+        result = squeeze_ids([3, 7, 10])
+        for dropped in (0, 2, 4, 8, 9, 11):
+            with pytest.raises(KeyError) as info:
+                result.to_squeezed(dropped)
+            assert info.value.args == (dropped,)
+        assert [result.to_squeezed(v) for v in (3, 7, 10)] == [0, 1, 2]
+
+    def test_empty_pool_maps_nothing(self):
+        result = squeeze_ids(np.empty(0, dtype=np.int64))
+        assert result.num_ids == 0
+        assert result.new_to_old.dtype == np.int64
+        with pytest.raises(KeyError):
+            result.to_squeezed(0)
+
     def test_already_contiguous(self):
         result = squeeze_ids([0, 1, 2])
         assert result.new_to_old.tolist() == [0, 1, 2]

@@ -76,6 +76,45 @@ class TestDurability:
         assert engine.line_graph(2) == before
         assert PersistentQueryEngine.open(store_path).line_graph(2) == before
 
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_compact_writes_the_served_state(self, store_path, monkeypatch, sharded):
+        """Compaction writes the index and hypergraph the engine serves; it
+        neither rebuilds them from disk nor changes what they describe."""
+        from repro.store.snapshot import load_shard
+
+        engine = PersistentQueryEngine.open(store_path, sharded=sharded)
+        engine.add_hyperedge([0, 1, 2, 50])
+        engine.remove_hyperedge(4)
+        engine.add_hyperedge([3, 4, 5, 6])
+        fingerprint = engine.fingerprint()
+        expected = {s: engine.line_graph(s) for s in range(1, 6)}
+        for name in ("load_index", "load_hypergraph"):
+            monkeypatch.setattr(
+                engine.store, name, lambda *a, **k: pytest.fail("compaction re-read the store")
+            )
+        engine.compact()
+        monkeypatch.undo()
+        manifest = engine.store.manifest
+        assert manifest.fingerprint == fingerprint
+        for info in manifest.shards:
+            _, weights = load_shard(store_path, info, mmap=False)
+            assert np.all(np.diff(weights) >= 0), info.shard_id
+        reopened = PersistentQueryEngine.open(store_path, sharded=not sharded)
+        assert reopened.fingerprint() == fingerprint
+        fresh = QueryEngine(engine.hypergraph)
+        for s, graph in expected.items():
+            assert reopened.line_graph(s) == graph == fresh.line_graph(s), s
+
+    def test_compact_rejects_a_stale_index(self, store_path, community_hypergraph):
+        from repro.engine.index import OverlapIndex
+        from repro.store.format import StoreError
+
+        engine = PersistentQueryEngine.open(store_path)
+        engine.add_hyperedge([3, 4, 5])
+        with pytest.raises(StoreError, match="hyperedges"):
+            engine.store.compact(index=OverlapIndex.build(community_hypergraph))
+        assert engine.store.num_wal_records() == 1
+
 
 class TestFromStore:
     def test_creates_when_asked(self, community_hypergraph, tmp_path):
